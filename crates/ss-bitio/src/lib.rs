@@ -18,6 +18,10 @@
 //! a little-endian word and makes the packed layout independent of field
 //! widths.
 //!
+//! The crate also owns the workspace's one CRC-32 ([`Crc32`], [`crc32`]),
+//! the trailer of every framed byte sequence above it: the chunk index,
+//! the `SSRD` shard and the `SSRP` frame.
+//!
 //! # Examples
 //!
 //! ```
@@ -36,10 +40,12 @@
 //! # }
 //! ```
 
+mod crc;
 mod error;
 mod reader;
 mod writer;
 
+pub use crc::{crc32, Crc32};
 pub use error::BitIoError;
 pub use reader::BitReader;
 pub use writer::BitWriter;

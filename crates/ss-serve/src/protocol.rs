@@ -32,7 +32,7 @@
 
 use std::io::{Read, Write};
 
-use ss_store::format::Crc32;
+use ss_bitio::Crc32;
 
 /// Frame magic, `b"SSRP"`.
 pub const MAGIC: [u8; 4] = *b"SSRP";
@@ -577,5 +577,45 @@ mod tests {
             }
             other => panic!("expected Truncated, got {other:?}"),
         }
+    }
+
+    /// Lowercase hex, two digits per byte.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        // Exact SSRP bytes, CRC trailer included. Every other test here
+        // round-trips, which a change to a field or to the checksum
+        // would pass; these constants do not move unless the wire does.
+        const REQUEST: &str = concat!(
+            "53535250", // magic
+            "01", // version
+            "03", // kind: get request
+            "efcdab8967452301", // request id
+            "28000000", // body length 40
+            "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021222324252627",
+            "ff045691", // CRC-32
+        );
+        const RESPONSE: &str = concat!(
+            "53535250", // magic
+            "01", // version
+            "83", // kind: get response
+            "efcdab8967452301", // request id
+            "2c000000", // body length 44
+            "00", // status ok
+            "535352502070696e732069747320776972652062797465732c20747261696c657220696e636c756465642e",
+            "7907e191", // CRC-32
+        );
+        let request = Frame::request(Op::Get, 0x0123_4567_89AB_CDEF, (0u8..40).collect());
+        assert_eq!(hex(&request.encode()), REQUEST);
+        let response = Frame::response(
+            Op::Get,
+            0x0123_4567_89AB_CDEF,
+            Status::Ok,
+            b"SSRP pins its wire bytes, trailer included.",
+        );
+        assert_eq!(hex(&response.encode()), RESPONSE);
     }
 }

@@ -42,7 +42,7 @@
 //! single end-to-end answer.
 
 use shapeshifter::SchemeId;
-use ss_bitio::{BitReader, BitWriter};
+use ss_bitio::{crc32, BitReader, BitWriter, Crc32};
 use ss_tensor::FixedType;
 
 use crate::error::StoreError;
@@ -65,79 +65,6 @@ pub const MAX_NAME_LEN: usize = 1024;
 /// Fixed per-record byte overhead: the two length prefixes and the
 /// record CRC (metadata itself is variable-length on top).
 pub const RECORD_FIXED_OVERHEAD: usize = 4 + 8 + 4;
-
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the same
-// checksum as `ss_core::ChunkIndex`, verified against the same reference
-// vector. Record payloads run to megabytes, so unlike the index's
-// few-dozen-byte bitwise loop this one uses a 16-entry nibble table:
-// still effectively free of cache pressure, ~4× fewer steps per byte.
-const CRC_TABLE: [u32; 16] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 16] {
-    let mut table = [0u32; 16];
-    let mut n = 0;
-    while n < 16 {
-        let mut crc = n as u32;
-        let mut bit = 0;
-        while bit < 4 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            bit += 1;
-        }
-        table[n] = crc;
-        n += 1;
-    }
-    table
-}
-
-/// Incremental CRC-32 for streaming shard writes: the whole-shard
-/// checksum is folded in as bytes hit the sink, never buffering them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// A fresh checksum.
-    #[must_use]
-    pub const fn new() -> Self {
-        Crc32 {
-            state: 0xFFFF_FFFF,
-        }
-    }
-
-    /// Folds `bytes` into the running checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut crc = self.state;
-        for &b in bytes {
-            crc ^= u32::from(b);
-            crc = (crc >> 4) ^ CRC_TABLE[(crc & 0xF) as usize];
-            crc = (crc >> 4) ^ CRC_TABLE[(crc & 0xF) as usize];
-        }
-        self.state = crc;
-    }
-
-    /// The finalized CRC-32 (the running state is not consumed; more
-    /// updates continue from where they were).
-    #[must_use]
-    pub fn finish(&self) -> u32 {
-        !self.state
-    }
-}
-
-/// One-shot CRC-32 of a byte slice.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(bytes);
-    crc.finish()
-}
 
 /// Per-record metadata: everything a reader needs to decode the record's
 /// SSPK payload and to sanity-check it against the codec configuration
@@ -645,21 +572,6 @@ mod tests {
             group_size: 16,
             fingerprint: codec_fingerprint(SchemeId::SHAPESHIFTER, 16, dtype),
             values: 1000,
-        }
-    }
-
-    #[test]
-    fn crc32_matches_reference_vector() {
-        // Same IEEE check value as the ChunkIndex implementation.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        // Incremental equals one-shot across arbitrary split points.
-        let data: Vec<u8> = (0u16..700).map(|i| (i * 31 % 251) as u8).collect();
-        for split in [0, 1, 350, 699, 700] {
-            let mut inc = Crc32::new();
-            inc.update(&data[..split]);
-            inc.update(&data[split..]);
-            assert_eq!(inc.finish(), crc32(&data));
         }
     }
 

@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 
 use shapeshifter::container;
+use ss_bitio::crc32;
 use ss_core::{CodecConfig, CodecSession};
 use ss_tensor::{FixedType, Shape, Tensor};
 use ss_trace::Counter;
@@ -330,7 +331,7 @@ impl<'a> ModelStore<'a> {
                 }
             })?;
             self.provider.read_range(&name, 0, covered, &mut self.block_buf)?;
-            if format::crc32(&self.block_buf) != declared_crc {
+            if crc32(&self.block_buf) != declared_crc {
                 return Err(StoreError::CorruptShard {
                     shard: name,
                     reason: "whole-shard CRC-32 mismatch".to_string(),

@@ -12,14 +12,13 @@ use std::collections::BTreeSet;
 
 use shapeshifter::container::{self, ContainerCodec};
 use shapeshifter::SchemeId;
+use ss_bitio::Crc32;
 use ss_core::IndexPolicy;
 use ss_tensor::Tensor;
 use ss_trace::Counter;
 
 use crate::error::StoreError;
-use crate::format::{
-    self, codec_fingerprint, Crc32, RecordEntry, RecordMeta, FOOTER_LEN, HEADER_LEN,
-};
+use crate::format::{self, codec_fingerprint, RecordEntry, RecordMeta, FOOTER_LEN, HEADER_LEN};
 use crate::provider::{ShardSink, StorageProvider};
 
 /// Default shard rotation budget: a new shard starts once the current

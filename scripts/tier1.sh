@@ -31,14 +31,17 @@ CARGO_TARGET_DIR=target/deprecated-check RUSTFLAGS="-D deprecated" \
 # property suite, the corruption fuzzers (including the exhaustive
 # unregistered-wire-id sweep of the file container), the session-reuse
 # property suite (every registered scheme interleaved through one
-# session), and the word-parallel-kernel-vs-scalar differential suite.
-# All run above as part of the workspace tests; re-run here by name so a
-# conformance failure is unmissable in CI logs.
+# session), the word-parallel-kernel-vs-scalar differential suite, and
+# the ss-bitio suite with the slicing-by-16 CRC-32 checked against its
+# bitwise definition (the checksum behind every chunk index, shard and
+# SSRP frame). All run above as part of the workspace tests; re-run here
+# by name so a conformance failure is unmissable in CI logs.
 echo
-echo "== container conformance (golden + differential + fuzz + kernels) =="
+echo "== container conformance (golden + differential + fuzz + kernels + CRC-32) =="
 cargo test -q -p ss-core --test golden_vectors --test codec_properties --test codec_fuzz \
     --test kernel_differential --test session_reuse
 cargo test -q -p shapeshifter --test container_fuzz
+cargo test -q -p ss-bitio
 
 # Scheme-registry gates: built-in registrations byte-identical to the
 # pre-registry encoders, DPRed/AdaBits round trip through the worker
