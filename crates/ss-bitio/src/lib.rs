@@ -47,11 +47,16 @@ mod writer;
 
 pub use crc::{crc32, Crc32};
 pub use error::BitIoError;
-pub use reader::BitReader;
+pub use reader::{BitReader, Field};
 pub use writer::BitWriter;
 
 /// Maximum number of bits accepted by a single `write_bits`/`read_bits` call.
 pub const MAX_FIELD_BITS: u32 = 64;
+
+/// Widest field one unaligned 8-byte window load covers at every bit
+/// phase: 64 bits minus the largest sub-byte offset, 7. Reads up to this
+/// width (and every [`BitReader::peek_bits`]) are a single load.
+pub const WINDOW_BITS: u32 = 57;
 
 /// Returns the minimum number of bits needed to represent `value` in an
 /// unsigned container: `0` needs 0 bits, `1` needs 1, `2..=3` need 2, etc.

@@ -1,4 +1,4 @@
-use crate::{BitIoError, MAX_FIELD_BITS};
+use crate::{BitIoError, MAX_FIELD_BITS, WINDOW_BITS};
 
 /// Sequentially consumes variable-width bit fields from a byte slice.
 ///
@@ -178,7 +178,9 @@ impl<'a> BitReader<'a> {
 
     /// Reads the next `bits` bits as an unsigned value (LSB-first).
     ///
-    /// A zero-width read returns `0` without consuming anything.
+    /// A zero-width read returns `0` without consuming anything. Widths up
+    /// to [`WINDOW_BITS`] are one unaligned 64-bit window load, a shift and
+    /// a mask; only wider reads walk the stream a byte at a time.
     ///
     /// # Errors
     ///
@@ -193,6 +195,11 @@ impl<'a> BitReader<'a> {
                 requested: bits,
                 available: self.remaining_bits(),
             });
+        }
+        if bits <= WINDOW_BITS {
+            let value = self.window(bits);
+            self.pos += u64::from(bits);
+            return Ok(value);
         }
         let mut out: u64 = 0;
         let mut got: u32 = 0;
@@ -223,6 +230,49 @@ impl<'a> BitReader<'a> {
         Ok(out)
     }
 
+    /// Returns the next `bits` bits (LSB-first) without consuming them:
+    /// one unaligned window load. Pair with [`BitReader::advance`] to
+    /// consume what a caller decoded out of the window — the decoder reads
+    /// a whole group header (`Z` bit-vector and `P` prefix) this way.
+    ///
+    /// # Errors
+    ///
+    /// * [`BitIoError::FieldTooWide`] if `bits > WINDOW_BITS`.
+    /// * [`BitIoError::UnexpectedEnd`] if fewer than `bits` bits remain,
+    ///   with the same values [`BitReader::read_bits`] would report.
+    pub fn peek_bits(&self, bits: u32) -> Result<u64, BitIoError> {
+        if bits > WINDOW_BITS {
+            return Err(BitIoError::FieldTooWide { bits });
+        }
+        if u64::from(bits) > self.remaining_bits() {
+            return Err(BitIoError::UnexpectedEnd {
+                requested: bits,
+                available: self.remaining_bits(),
+            });
+        }
+        Ok(self.window(bits))
+    }
+
+    /// Consumes `bits` bits, typically ones a [`BitReader::peek_bits`]
+    /// has already returned.
+    ///
+    /// # Errors
+    ///
+    /// [`BitIoError::UnexpectedEnd`] if fewer than `bits` bits remain; the
+    /// position is unchanged on error.
+    pub fn advance(&mut self, bits: u32) -> Result<(), BitIoError> {
+        self.skip_bits(u64::from(bits))
+    }
+
+    /// The `bits <= WINDOW_BITS` bits at the current position. The caller
+    /// has bounded them by the stream length.
+    #[inline]
+    fn window(&self, bits: u32) -> u64 {
+        let byte = (self.pos / 8) as usize;
+        let off = (self.pos % 8) as u32;
+        (load_le8(self.bytes, byte) >> off) & low_mask(bits)
+    }
+
     /// Reads a single bit.
     ///
     /// # Errors
@@ -239,17 +289,20 @@ impl<'a> BitReader<'a> {
     /// payload hot path: a group's non-zero values all share the same
     /// width `P`.
     ///
-    /// Widths above 57 bits cannot be covered by a single load at every
-    /// sub-byte offset and fall back to the scalar path (the codec's
-    /// fields are at most 17 bits wide).
+    /// The slots may be `u64` or, for fields of at most 32 bits, `u32`
+    /// (see [`Field`]); the narrower slots halve the buffer a caller then
+    /// post-processes. Widths above 57 bits cannot be covered by a single
+    /// load at every sub-byte offset and fall back to the scalar path (the
+    /// codec's fields are at most 17 bits wide).
     ///
     /// # Errors
     ///
-    /// * [`BitIoError::FieldTooWide`] if `bits > 64`.
+    /// * [`BitIoError::FieldTooWide`] if `bits` exceeds the slot type's
+    ///   width ([`Field::BITS`]).
     /// * [`BitIoError::UnexpectedEnd`] if fewer than `bits * out.len()`
     ///   bits remain. The position is unchanged on error.
-    pub fn read_fields(&mut self, bits: u32, out: &mut [u64]) -> Result<(), BitIoError> {
-        if bits > MAX_FIELD_BITS {
+    pub fn read_fields<F: Field>(&mut self, bits: u32, out: &mut [F]) -> Result<(), BitIoError> {
+        if bits > F::BITS {
             return Err(BitIoError::FieldTooWide { bits });
         }
         let total = u64::from(bits) * out.len() as u64;
@@ -261,23 +314,23 @@ impl<'a> BitReader<'a> {
             });
         }
         if bits == 0 {
-            out.fill(0);
+            out.fill(F::from_window(0));
             return Ok(());
         }
-        if bits > 57 {
+        if bits > WINDOW_BITS {
             for slot in out.iter_mut() {
-                *slot = self.read_bits(bits)?;
+                *slot = F::from_window(self.read_bits(bits)?);
             }
             return Ok(());
         }
         // `bits <= 57` and the sub-byte offset is at most 7, so every field
         // fits entirely inside one 8-byte window starting at its byte.
-        let mask = (1u64 << bits) - 1;
+        let mask = low_mask(bits);
         let mut pos = self.pos;
         for slot in out.iter_mut() {
             let byte = (pos / 8) as usize;
             let off = (pos % 8) as u32;
-            *slot = (load_le8(self.bytes, byte) >> off) & mask;
+            *slot = F::from_window((load_le8(self.bytes, byte) >> off) & mask);
             pos += u64::from(bits);
         }
         self.pos = pos;
@@ -318,6 +371,51 @@ impl<'a> BitReader<'a> {
         }
         Ok(())
     }
+}
+
+/// A slot type [`BitReader::read_fields`] extracts into: `u64`, or `u32`
+/// for fields of at most 32 bits. Sealed; the two implementations are the
+/// whole set.
+pub trait Field: Copy + sealed::Sealed {
+    /// The widest field this slot type holds.
+    const BITS: u32;
+
+    /// Narrows an extracted field, already masked to at most
+    /// [`Field::BITS`] bits, to the slot type.
+    fn from_window(field: u64) -> Self;
+}
+
+impl Field for u64 {
+    const BITS: u32 = 64;
+
+    #[inline]
+    fn from_window(field: u64) -> Self {
+        field
+    }
+}
+
+impl Field for u32 {
+    const BITS: u32 = 32;
+
+    #[inline]
+    fn from_window(field: u64) -> Self {
+        // ss-lint: allow(truncating-cast) -- read_fields refuses widths above Field::BITS (32), so the field fits
+        field as u32
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u64 {}
+    impl Sealed for u32 {}
+}
+
+/// A mask of the low `bits` bits; callers pass at most [`WINDOW_BITS`].
+#[inline]
+fn low_mask(bits: u32) -> u64 {
+    debug_assert!(bits <= WINDOW_BITS, "mask of {bits} bits is wider than a window");
+    // ss-lint: allow(shift-bound) -- every caller bounds bits by WINDOW_BITS (57) < 64
+    (1u64 << bits) - 1
 }
 
 /// Loads up to 8 bytes starting at `idx` as a little-endian word,
@@ -567,6 +665,40 @@ mod tests {
             r.read_fields(65, &mut out),
             Err(BitIoError::FieldTooWide { bits: 65 })
         );
+    }
+
+    #[test]
+    fn read_fields_into_u32_slots_matches_u64_slots() {
+        let mut w = BitWriter::new();
+        for i in 0..20u64 {
+            w.write_bits(0x9E37_79B9_7F4A_7C15u64.rotate_left((i * 7) as u32), 64)
+                .unwrap();
+        }
+        let bytes = w.into_bytes();
+        for phase in [0u64, 3, 7] {
+            for bits in [0u32, 1, 5, 16, 17, 31, 32] {
+                let mut wide = BitReader::new(&bytes);
+                wide.skip_bits(phase).unwrap();
+                let mut want = [0u64; 11];
+                wide.read_fields(bits, &mut want).unwrap();
+
+                let mut narrow = BitReader::new(&bytes);
+                narrow.skip_bits(phase).unwrap();
+                let mut got = [7u32; 11];
+                narrow.read_fields(bits, &mut got).unwrap();
+                let got: Vec<u64> = got.iter().map(|&f| u64::from(f)).collect();
+                assert_eq!(got, want, "phase {phase}, width {bits}");
+                assert_eq!(narrow.position(), wide.position());
+            }
+        }
+        // A u32 slot cannot hold a 33-bit field.
+        let mut r = BitReader::new(&bytes);
+        let mut out = [0u32; 2];
+        assert_eq!(
+            r.read_fields(33, &mut out),
+            Err(BitIoError::FieldTooWide { bits: 33 })
+        );
+        assert_eq!(r.position(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The ShapeShifter memory container codec (paper §3, Figure 6).
 
 use ss_bitio::{BitReader, BitWriter};
-use ss_tensor::{width, FixedType, Shape, Signedness, Tensor};
+use ss_tensor::{FixedType, Shape, Tensor};
 use ss_trace::{Counter, WidthCounts, WidthHist};
 
 use crate::index::{ChunkEntry, ChunkIndex};
@@ -707,8 +707,12 @@ impl ShapeShifterCodec {
 
     /// [`ShapeShifterCodec::decode_stream`] into a caller-owned buffer —
     /// the body behind both the one-shot path and `CodecSession`'s
-    /// allocation-free `decode_into`. `data` is cleared first; on success
-    /// it holds exactly `len` decoded values.
+    /// allocation-free `decode_into`. On success `data` holds exactly the
+    /// `len` decoded values; on error its contents are unspecified.
+    ///
+    /// `data` is resized, not cleared: the kernel overwrites every slot,
+    /// so only growth past its current length is zero-filled, and a
+    /// reused buffer of the right size is written exactly once.
     pub(crate) fn decode_stream_into(
         &self,
         bytes: &[u8],
@@ -717,7 +721,6 @@ impl ShapeShifterCodec {
         len: usize,
         data: &mut Vec<i32>,
     ) -> Result<(), CodecError> {
-        data.clear();
         if bit_len > bytes.len() as u64 * 8 {
             return Err(CodecError::Stream(ss_bitio::BitIoError::UnexpectedEnd {
                 requested: u32::MAX,
@@ -734,13 +737,11 @@ impl ShapeShifterCodec {
                 available: bit_len,
             }));
         }
-        let det = WidthDetector::new(dtype.bits(), dtype.signedness());
-        // Hoisted out of the per-value loop: the signedness of the stream
-        // is a property of the container, not of any value.
-        let signed = matches!(dtype.signedness(), Signedness::Signed);
         let mut r = BitReader::with_bit_len(bytes, bit_len);
-        data.reserve(len);
-        self.decode_groups(&mut r, &det, dtype, signed, len, 0, 0, data)?;
+        // The output is sized once per stream; the kernel fills it group
+        // by group in place.
+        data.resize(len, 0);
+        kernels::decode_groups(&mut r, dtype, self.group_size, 0, 0, data)?;
         // A well-formed container is consumed exactly: its framing metadata
         // (bit length + element count) and its group contents agree. This is
         // a hard typed error, not a debug assertion, because hostile streams
@@ -844,21 +845,22 @@ impl ShapeShifterCodec {
         dtype: FixedType,
         spans: &[ChunkSpan],
     ) -> Result<Vec<i32>, CodecError> {
-        let det = WidthDetector::new(dtype.bits(), dtype.signedness());
-        let signed = matches!(dtype.signedness(), Signedness::Signed);
         let total = spans.iter().map(|s| s.values).sum();
-        let mut data: Vec<i32> = Vec::with_capacity(total);
+        let mut data = vec![0i32; total];
+        let mut rest = data.as_mut_slice();
         for span in spans {
+            // The spans' counts sum to `total`, so the split always fits.
+            let n = span.values.min(rest.len());
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            rest = tail;
             let mut r = BitReader::with_bit_range(bytes, span.start, span.end)?;
-            self.decode_groups(
+            kernels::decode_groups(
                 &mut r,
-                &det,
                 dtype,
-                signed,
-                span.values,
+                self.group_size,
                 span.group_base,
                 span.value_base,
-                &mut data,
+                out,
             )?;
             // The chunk must consume its allotted span exactly, for the
             // same reason the sequential parse rejects trailing bits.
@@ -871,110 +873,6 @@ impl ShapeShifterCodec {
             }
         }
         Ok(data)
-    }
-
-    /// Parses `count` values' worth of groups from `r`, appending to
-    /// `data` — the group-parse body shared by the sequential parse and
-    /// every indexed-chunk worker. `group_base` / `value_base` seed error
-    /// positions so chunk-local parses report stream-global indices.
-    ///
-    /// Payloads are read in bulk: the zero bitmap's popcount gives the
-    /// exact number of equal-width fields in the group, which
-    /// `BitReader::read_fields` extracts with one unaligned load each
-    /// instead of a per-field byte loop; the scatter pass then interleaves
-    /// them with the elided zeros, validating each value in stream order
-    /// so error indices are unchanged from the scalar parse.
-    #[allow(clippy::too_many_arguments)]
-    fn decode_groups(
-        &self,
-        r: &mut BitReader<'_>,
-        det: &WidthDetector,
-        dtype: FixedType,
-        signed: bool,
-        count: usize,
-        group_base: usize,
-        value_base: usize,
-        data: &mut Vec<i32>,
-    ) -> Result<(), CodecError> {
-        let prefix_bits = u32::from(det.prefix_bits());
-        let start_len = data.len();
-        let mut group_idx = group_base;
-
-        // Z vector as packed 64-bit words (group_size <= 256 -> 4 words),
-        // read straight off the stream with no per-bit buffer traffic.
-        let mut zwords = [0u64; 4];
-        let mut fields = [0u64; kernels::MAX_GROUP];
-        while data.len() - start_len < count {
-            let group_len = (count - (data.len() - start_len)).min(self.group_size);
-            // Only the words covering `group_len` are overwritten; zero
-            // counting below must therefore walk the same active range
-            // (stale words from a longer previous group may follow).
-            let mut zeros = 0usize;
-            for (word, start) in zwords.iter_mut().zip((0..group_len).step_by(64)) {
-                let take = (group_len - start).min(64);
-                *word = r.read_bits(take as u32)?;
-                // read_bits returns clean high bits, so whole-word
-                // popcounts only ever see in-range zero markers.
-                zeros += word.count_ones() as usize;
-            }
-            // The P field stores width-1 in at most 5 bits.
-            // ss-lint: allow(truncating-cast) -- prefix field is <= 5 bits wide, value <= 31
-            let p = r.read_bits(prefix_bits)? as u8 + 1;
-            if p > dtype.bits() {
-                return Err(CodecError::WidthExceedsContainer {
-                    group: group_idx,
-                    width: p,
-                    container: dtype.bits(),
-                });
-            }
-            // Bulk-extract every payload field in the group at once; the
-            // per-value work below is only scatter + validation.
-            let payloads = group_len - zeros.min(group_len);
-            let slots = fields.get_mut(..payloads).unwrap_or(&mut []);
-            r.read_fields(u32::from(p), slots)?;
-            let mut next = slots.iter();
-            for (word_idx, word) in zwords.iter().enumerate() {
-                let start = word_idx * 64;
-                if start >= group_len {
-                    break;
-                }
-                let take = (group_len - start).min(64);
-                for bit in 0..take {
-                    if word >> bit & 1 == 1 {
-                        data.push(0);
-                    } else {
-                        // The popcount above sized `slots` to the exact
-                        // number of clear bits, so the iterator cannot
-                        // run dry.
-                        let raw = next.next().copied().unwrap_or(0);
-                        let v = if signed {
-                            width::from_sign_magnitude(raw as u32)
-                        } else {
-                            raw as i32
-                        };
-                        if !dtype.contains(v) || v == 0 {
-                            // A payload slot decoding to zero is corrupt:
-                            // zeros travel in Z, never in the payload.
-                            return Err(CodecError::CorruptValue {
-                                index: value_base + (data.len() - start_len),
-                                value: v,
-                            });
-                        }
-                        checked::canonical_payload(
-                            raw,
-                            v,
-                            p,
-                            signed,
-                            value_base + (data.len() - start_len),
-                        );
-                        data.push(v);
-                    }
-                }
-            }
-            checked::group_invariants(&zwords, group_len, payloads, p, dtype.bits(), group_idx);
-            group_idx += 1;
-        }
-        Ok(())
     }
 }
 

@@ -15,13 +15,21 @@
 //! * [`gather_nonzero`] compacts the non-zero payload encodings of a group
 //!   into a dense field buffer for `BitWriter::pack_fields`, without a
 //!   branch per value.
+//! * [`decode_groups`] is the decode-side twin of [`scan_gather`]: one
+//!   window load per group header (`Z` and `P` together), one per payload
+//!   field, then a scatter that walks the set bits of `!Z` straight into
+//!   the caller's output slice, folding the range and non-zero checks of
+//!   every value into one flag per group.
 //!
 //! The scalar equivalents (`ss_tensor::width::group_width_scalar`, the
-//! per-value loops retained in [`WidthDetector`](crate::WidthDetector))
-//! stay in the tree as the differential-test oracle; the
-//! `kernel_differential` suite pins these kernels against them.
+//! per-value loops retained in [`WidthDetector`](crate::WidthDetector),
+//! and the per-bit decode loop kept in the `kernel_differential` suite)
+//! stay as the differential-test oracles that pin these kernels.
 
-use ss_tensor::Signedness;
+use ss_bitio::{BitIoError, BitReader, WINDOW_BITS};
+use ss_tensor::{FixedType, Signedness};
+
+use crate::{checked, CodecError, WidthDetector};
 
 /// Largest group the fixed-size scan buffers cover. The container format
 /// caps groups at 256 values, so four `u64` zero-bitmap words suffice.
@@ -233,6 +241,223 @@ fn gather_with(values: &[i32], out: &mut [u64], enc: impl Fn(i32) -> u32 + Copy)
         n += usize::from(v != 0);
     }
     n
+}
+
+/// Decodes `out.len()` values' worth of ShapeShifter groups of
+/// `group_size` values from `r` into `out` — the group-parse body shared
+/// by the sequential decode and every indexed-chunk worker.
+/// `group_base` / `value_base` are the stream-global indices of the first
+/// group and value, so a chunk-local parse reports stream-global errors.
+///
+/// Per group:
+///
+/// 1. One [`BitReader::peek_bits`] window reads the `Z` bit-vector and
+///    the `P` prefix together, then one [`BitReader::advance`] consumes
+///    them. A group whose header is wider than one window, or that runs
+///    off the end of the stream, reads `Z` word by word and then `P`, so
+///    a truncation names the exact field that ran short.
+/// 2. [`BitReader::read_fields`] extracts every payload field into a
+///    `u32` slot with one window load each (`!Z`'s popcount is the field
+///    count).
+/// 3. The fields decode with branch-free sign-magnitude arithmetic: a
+///    dense group straight into its slice, a sparse one into a scratch
+///    row that the scatter then spreads over the set bits of `!Z`
+///    (trailing-zero count, clear lowest bit), the group zeroed first. A
+///    value is valid iff its magnitude is in `1..=max_magnitude`, which
+///    one wrapping compare tests; the per-value results fold into one
+///    flag.
+/// 4. Only when the flag is set does the group get re-examined, to name
+///    the first offending value in stream order.
+///
+/// The errors and their indices are those of a per-value parse that
+/// validates as it goes: every input-dependent failure is checked in
+/// stream order, group by group.
+///
+/// # Errors
+///
+/// * [`CodecError::Stream`] if the stream is truncated.
+/// * [`CodecError::WidthExceedsContainer`] if a group's `P` exceeds the
+///   container width.
+/// * [`CodecError::CorruptValue`] if a payload field decodes to zero
+///   (including a signed negative zero) or out of the container's range.
+pub fn decode_groups(
+    r: &mut BitReader<'_>,
+    dtype: FixedType,
+    group_size: usize,
+    group_base: usize,
+    value_base: usize,
+    out: &mut [i32],
+) -> Result<(), CodecError> {
+    let group_size = group_size.clamp(1, MAX_GROUP);
+    let prefix_bits = u32::from(WidthDetector::new(dtype.bits(), dtype.signedness()).prefix_bits());
+    let max_magnitude = dtype.max_magnitude().unsigned_abs();
+    let payload = Payload::of(dtype);
+    let mut fields = [0u32; MAX_GROUP];
+    let mut decoded = [0i32; MAX_GROUP];
+    for (g, group) in out.chunks_mut(group_size).enumerate() {
+        let (z, p) = read_header(r, group.len(), prefix_bits)?;
+        if p > dtype.bits() {
+            return Err(CodecError::WidthExceedsContainer {
+                group: group_base + g,
+                width: p,
+                container: dtype.bits(),
+            });
+        }
+        let zeros = z.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        let payloads = group.len() - zeros.min(group.len());
+        let slots = fields.get_mut(..payloads).unwrap_or(&mut []);
+        r.read_fields(u32::from(p), slots)?;
+        // A dense group decodes straight into place; a sparse one decodes
+        // its payloads, then scatters them between the zeros.
+        let bad = if payloads == group.len() {
+            payload.decode_all(slots, group, max_magnitude)
+        } else {
+            let values = decoded.get_mut(..payloads).unwrap_or(&mut []);
+            let bad = payload.decode_all(slots, values, max_magnitude);
+            scatter(&z, values, group);
+            bad
+        };
+        let group_value_base = value_base + g * group_size;
+        if bad {
+            return Err(first_corrupt_value(&z, group, dtype, group_value_base));
+        }
+        if cfg!(debug_assertions) {
+            let mut next = slots.iter();
+            for (i, &v) in group.iter().enumerate() {
+                if v != 0 {
+                    let raw = next.next().copied().unwrap_or(0);
+                    let signed = payload.sign_bits != 0;
+                    checked::canonical_payload(u64::from(raw), v, p, signed, group_value_base + i);
+                }
+            }
+        }
+        checked::group_invariants(&z, group.len(), payloads, p, dtype.bits(), group_base + g);
+    }
+    Ok(())
+}
+
+/// Reads one group header: the `Z` bit-vector of `group_len` bits (as
+/// whole words, bits past `group_len` clear) and the width `P` (stored
+/// as `P - 1` in `prefix_bits` bits).
+#[inline]
+fn read_header(
+    r: &mut BitReader<'_>,
+    group_len: usize,
+    prefix_bits: u32,
+) -> Result<([u64; 4], u8), BitIoError> {
+    // ss-lint: allow(truncating-cast) -- group_len <= MAX_GROUP (256)
+    let z_bits = group_len as u32;
+    let header_bits = z_bits + prefix_bits;
+    if header_bits <= WINDOW_BITS {
+        if let Ok(header) = r.peek_bits(header_bits) {
+            r.advance(header_bits)?;
+            // ss-lint: allow(shift-bound) -- z_bits < header_bits <= WINDOW_BITS (57) < 64
+            let z = header & ((1u64 << z_bits) - 1);
+            // ss-lint: allow(truncating-cast) -- the prefix field is at most 4 bits wide, so the value is <= 15
+            // ss-lint: allow(shift-bound) -- z_bits < header_bits <= WINDOW_BITS (57) < 64
+            let p = (header >> z_bits) as u8 + 1;
+            return Ok(([z, 0, 0, 0], p));
+        }
+    }
+    // Wide groups, and the group a truncated stream ends in: `Z` in words
+    // of up to 64 bits, then `P`, each read naming its own shortfall.
+    let mut z = [0u64; 4];
+    for (word, start) in z.iter_mut().zip((0..group_len).step_by(64)) {
+        // ss-lint: allow(truncating-cast) -- min(64) bounds the width
+        *word = r.read_bits((group_len - start).min(64) as u32)?;
+    }
+    // ss-lint: allow(truncating-cast) -- the prefix field is at most 4 bits wide, so the value is <= 15
+    let p = r.read_bits(prefix_bits)? as u8 + 1;
+    Ok((z, p))
+}
+
+/// How a container's payload fields map to values: sign-magnitude with
+/// the sign at the LSB when signed, the value verbatim when unsigned. One
+/// branch-free formula covers both — `sign_bits` is 1 or 0 — so the
+/// decode loop is a single instantiation with no branch on signedness.
+#[derive(Debug, Clone, Copy)]
+struct Payload {
+    sign_bits: u32,
+}
+
+impl Payload {
+    fn of(dtype: FixedType) -> Self {
+        Self {
+            sign_bits: u32::from(dtype.signedness().is_signed()),
+        }
+    }
+
+    /// Decodes one field to `(value, magnitude)`. A signed "negative
+    /// zero" (raw `1`) decodes to 0.
+    #[inline]
+    fn decode(self, raw: u32) -> (i32, u32) {
+        // ss-lint: allow(shift-bound) -- sign_bits is built from a bool, 0 or 1
+        let magnitude = raw >> self.sign_bits;
+        // ss-lint: allow(truncating-cast) -- masked to the sign bit, 0 or 1
+        let sign = (raw & self.sign_bits) as i32;
+        // ss-lint: allow(truncating-cast) -- payload fields are at most 16 bits wide, so the magnitude is < 2^16
+        let value = ((magnitude as i32) ^ -sign).wrapping_add(sign);
+        (value, magnitude)
+    }
+
+    /// Decodes `fields` into `values`, one to one. Returns `true` if any
+    /// field decoded to a magnitude outside `1..=max_magnitude`: a valid
+    /// magnitude minus one is below `max_magnitude`, and a zero wraps to
+    /// the top of the range, so one compare tests both bounds. No branch
+    /// depends on a value, so the loop vectorizes.
+    #[inline]
+    fn decode_all(self, fields: &[u32], values: &mut [i32], max_magnitude: u32) -> bool {
+        let mut bad = 0u32;
+        for (value, &raw) in values.iter_mut().zip(fields) {
+            let (v, magnitude) = self.decode(raw);
+            *value = v;
+            bad |= u32::from(magnitude.wrapping_sub(1) >= max_magnitude);
+        }
+        bad != 0
+    }
+}
+
+/// Writes one group: zeros everywhere, then each decoded payload, in
+/// order, at the next set bit of `!Z`.
+#[inline]
+fn scatter(z: &[u64; 4], values: &[i32], group: &mut [i32]) {
+    group.fill(0);
+    let mut rest = values;
+    for (&word, chunk) in z.iter().zip(group.chunks_mut(64)) {
+        // `Z` words carry no bits past the group's end, so only the
+        // chunk's own slots can be set in `!Z` after this mask.
+        let live = if chunk.len() == 64 {
+            u64::MAX
+        } else {
+            // ss-lint: allow(shift-bound) -- the else branch has chunk.len() < 64
+            (1u64 << chunk.len()) - 1
+        };
+        let mut nonzero = !word & live;
+        let (mine, tail) = rest.split_at(rest.len().min(nonzero.count_ones() as usize));
+        rest = tail;
+        for &v in mine {
+            if let Some(slot) = chunk.get_mut(nonzero.trailing_zeros() as usize) {
+                *slot = v;
+            }
+            nonzero &= nonzero.wrapping_sub(1);
+        }
+    }
+}
+
+/// Names the first value of a flagged group that is zero (but not marked
+/// in `Z`) or outside the container's range.
+#[cold]
+fn first_corrupt_value(z: &[u64; 4], group: &[i32], dtype: FixedType, value_base: usize) -> CodecError {
+    let marked_zero = |i: usize| z.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1);
+    let (index, value) = group
+        .iter()
+        .enumerate()
+        .find(|&(i, &v)| !marked_zero(i) && (v == 0 || !dtype.contains(v)))
+        .map_or((0, 0), |(i, &v)| (i, v));
+    CodecError::CorruptValue {
+        index: value_base + index,
+        value,
+    }
 }
 
 #[cfg(test)]

@@ -5,18 +5,21 @@
 //! Differential suite for the word-parallel hot-path kernels: every
 //! u64-lane / bulk-bit kernel is pinned against the scalar reference it
 //! replaced, across group sizes 16/64/256, ragged tails, all-zero and
-//! max-magnitude groups, and both signedness modes.
+//! max-magnitude groups, and both signedness modes. The fused group
+//! decoder is pinned at every group size 1..=256 and on hostile streams.
 //!
 //! The scalar paths are retained in the tree *as* oracles
 //! (`width::group_width_scalar`, `BitWriter::write_bits` /
-//! `BitReader::read_bits`, `ZeroRle::token_count_scalar`); this suite is
-//! what makes that retention load-bearing.
+//! `BitReader::read_bits`, `ZeroRle::token_count_scalar`, and the per-bit
+//! decode loop [`scalar_decode`] below); this suite is what makes that
+//! retention load-bearing.
 
 use proptest::prelude::*;
 use ss_bitio::{BitReader, BitWriter};
 use ss_core::kernels;
 use ss_core::scheme::ZeroRle;
-use ss_tensor::{width, Signedness};
+use ss_core::{CodecError, ShapeShifterCodec, WidthDetector};
+use ss_tensor::{width, FixedType, Shape, Signedness, Tensor};
 
 /// The per-value zero-bitmap construction the fused scan replaced.
 fn scalar_zero_bitmap(values: &[i32]) -> [u64; 4] {
@@ -167,6 +170,312 @@ fn group_width_agrees_with_scalar_at_paper_group_sizes() {
             }
         }
     }
+}
+
+/// The per-bit decode loop the fused kernel replaced, kept as its oracle:
+/// per group it reads `Z` in words of up to 64 bits and then `P`, checks
+/// the width, reads the payload fields, then walks `Z` one bit at a time,
+/// pushing a zero or the next payload and validating each value in
+/// stream order.
+fn scalar_decode(
+    r: &mut BitReader<'_>,
+    dtype: FixedType,
+    group_size: usize,
+    group_base: usize,
+    value_base: usize,
+    count: usize,
+) -> Result<Vec<i32>, CodecError> {
+    let prefix_bits = u32::from(WidthDetector::new(dtype.bits(), dtype.signedness()).prefix_bits());
+    let signed = dtype.signedness().is_signed();
+    let mut data = Vec::with_capacity(count);
+    let mut group = group_base;
+    while data.len() < count {
+        let group_len = (count - data.len()).min(group_size);
+        let mut z = [0u64; 4];
+        let mut zeros = 0usize;
+        for (word, start) in z.iter_mut().zip((0..group_len).step_by(64)) {
+            *word = r.read_bits((group_len - start).min(64) as u32)?;
+            zeros += word.count_ones() as usize;
+        }
+        let p = r.read_bits(prefix_bits)? as u8 + 1;
+        if p > dtype.bits() {
+            return Err(CodecError::WidthExceedsContainer {
+                group,
+                width: p,
+                container: dtype.bits(),
+            });
+        }
+        let mut fields = vec![0u64; group_len - zeros];
+        r.read_fields(u32::from(p), &mut fields)?;
+        let mut next = fields.into_iter();
+        for bit in 0..group_len {
+            if z[bit / 64] >> (bit % 64) & 1 == 1 {
+                data.push(0);
+            } else {
+                let raw = next.next().unwrap();
+                let v = if signed {
+                    width::from_sign_magnitude(raw as u32)
+                } else {
+                    raw as i32
+                };
+                if !dtype.contains(v) || v == 0 {
+                    return Err(CodecError::CorruptValue {
+                        index: value_base + data.len(),
+                        value: v,
+                    });
+                }
+                data.push(v);
+            }
+        }
+        group += 1;
+    }
+    Ok(data)
+}
+
+/// Runs the kernel and the oracle over the same stream bits and demands
+/// the same values (and end position), or the same typed error.
+fn assert_decoders_agree(
+    bytes: &[u8],
+    bit_len: u64,
+    dtype: FixedType,
+    group_size: usize,
+    (group_base, value_base): (usize, usize),
+    count: usize,
+    what: &str,
+) -> Result<Vec<i32>, CodecError> {
+    let mut oracle_reader = BitReader::with_bit_len(bytes, bit_len);
+    let oracle = scalar_decode(
+        &mut oracle_reader,
+        dtype,
+        group_size,
+        group_base,
+        value_base,
+        count,
+    );
+    let mut kernel_reader = BitReader::with_bit_len(bytes, bit_len);
+    let mut out = vec![0i32; count];
+    let kernel = kernels::decode_groups(
+        &mut kernel_reader,
+        dtype,
+        group_size,
+        group_base,
+        value_base,
+        &mut out,
+    )
+    .map(|()| out);
+    assert_eq!(kernel, oracle, "{what}");
+    if oracle.is_ok() {
+        assert_eq!(kernel_reader.position(), oracle_reader.position(), "{what}");
+    }
+    oracle
+}
+
+/// A deterministic tensor of `len` values for `dtype`: about a third
+/// zeros, the rest spread over the whole magnitude range (and both signs
+/// when signed).
+fn decode_values(len: usize, dtype: FixedType, seed: u64) -> Vec<i32> {
+    let max = dtype.max_magnitude();
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = (x >> 33) as i32;
+            let magnitude = match r % 6 {
+                0 | 1 => 0,
+                2 => max,
+                _ => (r >> 3) % (max + 1),
+            };
+            if dtype.signedness().is_signed() && r & 4 != 0 {
+                -magnitude
+            } else {
+                magnitude
+            }
+        })
+        .collect()
+}
+
+fn encode_stream(values: &[i32], dtype: FixedType, group_size: usize) -> (Vec<u8>, u64) {
+    let t = Tensor::from_vec(Shape::flat(values.len()), dtype, values.to_vec()).unwrap();
+    let encoded = ShapeShifterCodec::new(group_size).encode(&t).unwrap();
+    (encoded.bytes().to_vec(), encoded.bit_len())
+}
+
+#[test]
+fn decode_kernel_matches_scalar_oracle_at_every_group_size() {
+    let dtypes = [
+        FixedType::I16,
+        FixedType::U16,
+        FixedType::I8,
+        FixedType::U8,
+        FixedType::signed(5).unwrap(),
+        FixedType::unsigned(12).unwrap(),
+    ];
+    for group_size in 1..=256usize {
+        for (k, &dtype) in dtypes.iter().enumerate() {
+            if (group_size + k) % 3 != 0 && group_size > 20 {
+                continue; // every dtype still meets every residue class
+            }
+            // Three whole groups plus a partial one (when the group size
+            // allows a remainder).
+            let len = 3 * group_size + group_size / 2 + 1;
+            let values = decode_values(len, dtype, (group_size * 31 + k) as u64);
+            let (bytes, bit_len) = encode_stream(&values, dtype, group_size);
+            let what = format!("group {group_size}, {dtype}");
+            let decoded =
+                assert_decoders_agree(&bytes, bit_len, dtype, group_size, (0, 0), len, &what);
+            assert_eq!(decoded.unwrap(), values, "{what}");
+        }
+    }
+}
+
+#[test]
+fn decode_kernel_matches_oracle_on_dense_and_all_zero_groups() {
+    for dtype in [FixedType::I16, FixedType::U8] {
+        for group_size in [1usize, 16, 53, 64, 65, 256] {
+            let max = dtype.max_magnitude();
+            let dense: Vec<i32> = (0..2 * group_size + 3)
+                .map(|i| (i as i32 % max) + 1)
+                .collect();
+            let zeros = vec![0i32; 2 * group_size + 3];
+            for values in [dense, zeros] {
+                let (bytes, bit_len) = encode_stream(&values, dtype, group_size);
+                let what = format!("group {group_size}, {dtype}");
+                let decoded = assert_decoders_agree(
+                    &bytes,
+                    bit_len,
+                    dtype,
+                    group_size,
+                    (0, 0),
+                    values.len(),
+                    &what,
+                );
+                assert_eq!(decoded.unwrap(), values, "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn decode_kernel_matches_oracle_on_every_truncation() {
+    for (dtype, group_size) in [
+        (FixedType::I16, 16usize),
+        (FixedType::U8, 5),
+        (FixedType::I8, 100),
+    ] {
+        let values = decode_values(2 * group_size + 7, dtype, 7);
+        let (bytes, bit_len) = encode_stream(&values, dtype, group_size);
+        for cut in 0..bit_len {
+            let what = format!("{dtype}, group {group_size}, cut at bit {cut}");
+            let result =
+                assert_decoders_agree(&bytes, cut, dtype, group_size, (2, 40), values.len(), &what);
+            assert!(
+                matches!(result, Err(CodecError::Stream(_))),
+                "{what}: {result:?}"
+            );
+        }
+    }
+}
+
+/// Writes one group header: `Z` (bit `i` set marks value `i` as zero;
+/// values past 64 are never marked) and the encoded width `p - 1` in
+/// `prefix_bits` bits.
+fn write_header(w: &mut BitWriter, z: u64, group_len: u32, p: u32, prefix_bits: u32) {
+    w.write_bits(z, group_len.min(64)).unwrap();
+    w.write_bits(0, group_len.saturating_sub(64)).unwrap();
+    w.write_bits(u64::from(p - 1), prefix_bits).unwrap();
+}
+
+#[test]
+fn decode_kernel_names_hostile_groups_like_the_oracle() {
+    // P wider than the container: a 12-bit unsigned container has a
+    // 4-bit prefix, which can declare up to 16 bits.
+    let u12 = FixedType::unsigned(12).unwrap();
+    let mut w = BitWriter::new();
+    write_header(&mut w, 0, 4, 3, 4);
+    for v in [1u64, 2, 3, 4] {
+        w.write_bits(v, 3).unwrap();
+    }
+    write_header(&mut w, 0, 4, 16, 4);
+    w.write_bits(0, 64).unwrap();
+    let bit_len = w.bit_len();
+    let bytes = w.into_bytes();
+    let result = assert_decoders_agree(&bytes, bit_len, u12, 4, (5, 0), 8, "wide P");
+    assert_eq!(
+        result,
+        Err(CodecError::WidthExceedsContainer {
+            group: 6,
+            width: 16,
+            container: 12
+        })
+    );
+
+    // A zero payload field (zeros travel in Z, never in the payload),
+    // in the second group, after a marked zero. U8 has a 3-bit prefix.
+    let mut w = BitWriter::new();
+    write_header(&mut w, 0, 4, 4, 3);
+    for v in [9u64, 1, 2, 3] {
+        w.write_bits(v, 4).unwrap();
+    }
+    write_header(&mut w, 0b0001, 4, 4, 3);
+    for v in [5u64, 0, 6] {
+        w.write_bits(v, 4).unwrap();
+    }
+    let bit_len = w.bit_len();
+    let bytes = w.into_bytes();
+    let result =
+        assert_decoders_agree(&bytes, bit_len, FixedType::U8, 4, (0, 100), 8, "zero field");
+    assert_eq!(
+        result,
+        Err(CodecError::CorruptValue {
+            index: 106,
+            value: 0
+        })
+    );
+
+    // A signed negative zero: raw 1 is magnitude 0 with the sign set.
+    let mut w = BitWriter::new();
+    write_header(&mut w, 0b10, 3, 2, 4);
+    w.write_bits(0b10, 2).unwrap(); // +1
+    w.write_bits(0b01, 2).unwrap(); // -0
+    let bit_len = w.bit_len();
+    let bytes = w.into_bytes();
+    let result = assert_decoders_agree(
+        &bytes,
+        bit_len,
+        FixedType::I16,
+        3,
+        (0, 0),
+        3,
+        "negative zero",
+    );
+    assert_eq!(result, Err(CodecError::CorruptValue { index: 2, value: 0 }));
+
+    // A wide group (header wider than one window) with a zero payload.
+    let mut w = BitWriter::new();
+    write_header(&mut w, 0, 70, 1, 4);
+    for i in 0..70 {
+        w.write_bits(u64::from(i != 66), 1).unwrap();
+    }
+    let bit_len = w.bit_len();
+    let bytes = w.into_bytes();
+    let result = assert_decoders_agree(
+        &bytes,
+        bit_len,
+        FixedType::U16,
+        70,
+        (0, 0),
+        70,
+        "wide group",
+    );
+    assert_eq!(
+        result,
+        Err(CodecError::CorruptValue {
+            index: 66,
+            value: 0
+        })
+    );
 }
 
 /// Packs `fields` at `bits` wide via the retained scalar path, starting

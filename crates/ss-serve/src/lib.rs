@@ -59,7 +59,7 @@ pub mod service;
 pub mod wire;
 
 pub use error::ServeError;
-pub use protocol::{Frame, Kind, Op, ProtocolError, Status};
+pub use protocol::{Frame, FrameWriter, Kind, Op, ProtocolError, Status};
 pub use server::{Client, Server, MAX_CLIENT_IN_FLIGHT};
 pub use service::{DrainReport, PendingReply, Response, ServeConfig, ServeHandle, Service};
 pub use wire::WireError;

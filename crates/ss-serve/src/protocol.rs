@@ -23,6 +23,16 @@
 //! exhaustively. The body length is bounded by the caller-supplied
 //! `max_body` *before* any allocation, so hostile length metadata cannot
 //! balloon memory (the PR 5 decode-OOM lesson applied at the wire).
+//!
+//! Both directions avoid copying bodies. [`FrameWriter`] folds the CRC
+//! over header, status byte and payload where they already sit and hands
+//! all of them to the socket in one vectored write, so a response body is
+//! never assembled into an intermediate buffer and no small trailing
+//! write is left for Nagle's algorithm to hold back. On the read side the
+//! header, the body and the CRC trailer are read in separate steps, so a
+//! reader chooses where body bytes land: the client reads a response's
+//! status byte on its own and its payload straight into the payload
+//! buffer.
 
 // ss-lint: allow-file(panic-freedom) -- every slice index below is
 // preceded by an explicit length check (`bytes.len() < HEADER_LEN` /
@@ -30,7 +40,7 @@
 // protocol fuzz suite proves every truncation at every byte is a typed
 // refusal, never a panic.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use ss_bitio::Crc32;
 
@@ -325,20 +335,7 @@ impl Frame {
     /// Serializes the frame (header + body + CRC trailer).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.body.len() + TRAILER_LEN);
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(self.kind.to_byte());
-        out.extend_from_slice(&self.request_id.to_le_bytes());
-        // Body length fits u32 by construction: encode() is only
-        // reachable for bodies the service built or admitted under
-        // max_body, which is itself bounded well below u32::MAX.
-        out.extend_from_slice(&(self.body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.body);
-        let mut crc = Crc32::new();
-        crc.update(&out);
-        out.extend_from_slice(&crc.finish().to_le_bytes());
-        out
+        self.writer().to_vec()
     }
 
     /// Parses one frame from the front of `bytes`, returning it plus the
@@ -349,56 +346,31 @@ impl Frame {
     /// Any [`ProtocolError`]; [`ProtocolError::Truncated`] when `bytes`
     /// is a proper prefix of a frame.
     pub fn decode(bytes: &[u8], max_body: usize) -> Result<(Frame, usize), ProtocolError> {
-        if bytes.len() < HEADER_LEN {
+        let Some(header) = bytes.first_chunk::<HEADER_LEN>() else {
             return Err(ProtocolError::Truncated {
                 needed: HEADER_LEN,
                 have: bytes.len(),
             });
-        }
-        let header = &bytes[..HEADER_LEN];
-        // Header fields, validated in offset order.
-        if header[0..4] != MAGIC {
-            let mut m = [0u8; 4];
-            m.copy_from_slice(&header[0..4]);
-            return Err(ProtocolError::BadMagic(m));
-        }
-        if header[4] != VERSION {
-            return Err(ProtocolError::UnsupportedVersion(header[4]));
-        }
-        let kind = Kind::from_byte(header[5]).ok_or(ProtocolError::UnknownOp(header[5]))?;
-        let mut id = [0u8; 8];
-        id.copy_from_slice(&header[6..14]);
-        let request_id = u64::from_le_bytes(id);
-        let mut len = [0u8; 4];
-        len.copy_from_slice(&header[14..18]);
-        let body_len = u32::from_le_bytes(len) as usize;
-        if body_len > max_body {
-            return Err(ProtocolError::BodyTooLarge {
-                len: body_len as u64,
-                max: max_body,
-            });
-        }
-        let total = HEADER_LEN + body_len + TRAILER_LEN;
+        };
+        let head = FrameHead::parse(header, max_body)?;
+        let total = HEADER_LEN + head.body_len + TRAILER_LEN;
         if bytes.len() < total {
             return Err(ProtocolError::Truncated {
                 needed: total,
                 have: bytes.len(),
             });
         }
-        let mut crc_bytes = [0u8; 4];
-        crc_bytes.copy_from_slice(&bytes[total - TRAILER_LEN..total]);
-        let stored = u32::from_le_bytes(crc_bytes);
-        let mut crc = Crc32::new();
-        crc.update(&bytes[..total - TRAILER_LEN]);
-        let computed = crc.finish();
-        if stored != computed {
-            return Err(ProtocolError::CrcMismatch { stored, computed });
-        }
+        let body = &bytes[HEADER_LEN..HEADER_LEN + head.body_len];
+        let mut crc = head.crc;
+        crc.update(body);
+        let mut stored = [0u8; TRAILER_LEN];
+        stored.copy_from_slice(&bytes[total - TRAILER_LEN..total]);
+        check_crc(u32::from_le_bytes(stored), crc.finish())?;
         Ok((
             Frame {
-                kind,
-                request_id,
-                body: bytes[HEADER_LEN..HEADER_LEN + body_len].to_vec(),
+                kind: head.kind,
+                request_id: head.request_id,
+                body: body.to_vec(),
             },
             total,
         ))
@@ -414,8 +386,155 @@ impl Frame {
     /// Any [`ProtocolError`]; an EOF mid-frame surfaces as
     /// [`ProtocolError::Io`] with [`std::io::ErrorKind::UnexpectedEof`].
     pub fn read_from(r: &mut dyn Read, max_body: usize) -> Result<Frame, ProtocolError> {
+        let mut head = read_head(r, max_body)?;
+        let mut body = Vec::new();
+        read_body(r, head.body_len, &mut head.crc, &mut body)?;
+        read_trailer(r, head.crc)?;
+        Ok(Frame {
+            kind: head.kind,
+            request_id: head.request_id,
+            body,
+        })
+    }
+
+    /// Writes the frame to `w` in one vectored write and flushes.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Io`] on any write failure.
+    pub fn write_to(&self, w: &mut dyn Write) -> Result<(), ProtocolError> {
+        self.writer().write_to(w)?;
+        w.flush()?;
+        Ok(())
+    }
+
+    /// A [`FrameWriter`] over this frame's body, borrowed in place.
+    fn writer(&self) -> FrameWriter<'_> {
+        FrameWriter::new(self.kind, self.request_id, None, &self.body)
+    }
+}
+
+/// One frame's wire bytes, held as borrowed parts: the header and the
+/// CRC trailer in small arrays, an optional status byte, and the payload
+/// slice where it already sits. The single frame writer behind server
+/// responses, client requests and [`Frame::encode`]; its bytes equal
+/// [`Frame::encode`] of the same frame.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameWriter<'a> {
+    header: [u8; HEADER_LEN],
+    status: Option<u8>,
+    payload: &'a [u8],
+    trailer: [u8; TRAILER_LEN],
+}
+
+impl<'a> FrameWriter<'a> {
+    /// A request frame carrying `body`.
+    #[must_use]
+    pub fn request(op: Op, request_id: u64, body: &'a [u8]) -> Self {
+        Self::new(Kind::Request(op), request_id, None, body)
+    }
+
+    /// A response frame whose body is the status byte then `payload` —
+    /// the bytes of [`Frame::response`] without building its body.
+    #[must_use]
+    pub fn response(op: Op, request_id: u64, status: Status, payload: &'a [u8]) -> Self {
+        Self::new(Kind::Response(op), request_id, Some(status.to_byte()), payload)
+    }
+
+    fn new(kind: Kind, request_id: u64, status: Option<u8>, payload: &'a [u8]) -> Self {
+        let body_len = usize::from(status.is_some()) + payload.len();
         let mut header = [0u8; HEADER_LEN];
-        r.read_exact(&mut header)?;
+        header[0..4].copy_from_slice(&MAGIC);
+        header[4] = VERSION;
+        header[5] = kind.to_byte();
+        header[6..14].copy_from_slice(&request_id.to_le_bytes());
+        // Body length fits u32 by construction: frames are only written
+        // for bodies the service built or admitted under max_body, which
+        // is itself bounded well below u32::MAX.
+        // ss-lint: allow(truncating-cast) -- bodies are bounded by max_body, far below u32::MAX
+        header[14..18].copy_from_slice(&(body_len as u32).to_le_bytes());
+        let mut crc = Crc32::new();
+        crc.update(&header);
+        if let Some(byte) = status {
+            crc.update(&[byte]);
+        }
+        crc.update(payload);
+        Self {
+            header,
+            status,
+            payload,
+            trailer: crc.finish().to_le_bytes(),
+        }
+    }
+
+    /// Total frame length in bytes.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        HEADER_LEN + usize::from(self.status.is_some()) + self.payload.len() + TRAILER_LEN
+    }
+
+    /// Always `false`: a frame carries at least its header and trailer.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// The frame as one owned buffer (a single copy of the payload).
+    #[must_use]
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len());
+        out.extend_from_slice(&self.header);
+        out.extend(self.status);
+        out.extend_from_slice(self.payload);
+        out.extend_from_slice(&self.trailer);
+        out
+    }
+
+    /// Writes the frame with vectored writes, all parts at once, until
+    /// every byte is out. Does not flush.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Io`] on any write failure, including a writer
+    /// that accepts zero bytes.
+    pub fn write_to(&self, w: &mut dyn Write) -> Result<(), ProtocolError> {
+        let status = self.status.as_slice();
+        let mut parts = [
+            IoSlice::new(&self.header),
+            IoSlice::new(status),
+            IoSlice::new(self.payload),
+            IoSlice::new(&self.trailer),
+        ];
+        let mut pending: &mut [IoSlice<'_>] = &mut parts;
+        while !pending.is_empty() {
+            match w.write_vectored(pending) {
+                Ok(0) => return Err(ProtocolError::Io(std::io::ErrorKind::WriteZero)),
+                Ok(n) => IoSlice::advance_slices(&mut pending, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A validated frame header, with the CRC already folded over it.
+#[derive(Debug, Clone)]
+pub(crate) struct FrameHead {
+    /// Request or response, and for which op.
+    pub(crate) kind: Kind,
+    /// The frame's request id.
+    pub(crate) request_id: u64,
+    /// Declared body length, already bounded by the reader's `max_body`.
+    pub(crate) body_len: usize,
+    /// CRC-32 state over the header bytes; fold the body in with
+    /// [`read_body`], then check it with [`read_trailer`].
+    pub(crate) crc: Crc32,
+}
+
+impl FrameHead {
+    /// Validates the header fields in offset order.
+    fn parse(header: &[u8; HEADER_LEN], max_body: usize) -> Result<Self, ProtocolError> {
         if header[0..4] != MAGIC {
             let mut m = [0u8; 4];
             m.copy_from_slice(&header[0..4]);
@@ -425,8 +544,8 @@ impl Frame {
             return Err(ProtocolError::UnsupportedVersion(header[4]));
         }
         // The kind byte is checked here for a fast refusal, and the CRC
-        // below still covers it — a byte corrupted *into* another valid
-        // op cannot sneak past.
+        // still covers it — a byte corrupted *into* another valid op
+        // cannot sneak past.
         let kind = Kind::from_byte(header[5]).ok_or(ProtocolError::UnknownOp(header[5]))?;
         let mut id = [0u8; 8];
         id.copy_from_slice(&header[6..14]);
@@ -440,34 +559,73 @@ impl Frame {
                 max: max_body,
             });
         }
-        let mut body = vec![0u8; body_len];
-        r.read_exact(&mut body)?;
-        let mut crc_bytes = [0u8; 4];
-        r.read_exact(&mut crc_bytes)?;
-        let stored = u32::from_le_bytes(crc_bytes);
         let mut crc = Crc32::new();
-        crc.update(&header);
-        crc.update(&body);
-        let computed = crc.finish();
-        if stored != computed {
-            return Err(ProtocolError::CrcMismatch { stored, computed });
-        }
-        Ok(Frame {
+        crc.update(header);
+        Ok(FrameHead {
             kind,
             request_id,
-            body,
+            body_len,
+            crc,
         })
     }
+}
 
-    /// Writes the frame to `w` and flushes.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Io`] on any write failure.
-    pub fn write_to(&self, w: &mut dyn Write) -> Result<(), ProtocolError> {
-        w.write_all(&self.encode())?;
-        w.flush()?;
+/// Reads and validates one frame header from `r`. The body is not
+/// touched: read it with [`read_body`] (in as many pieces as the caller
+/// wants), then [`read_trailer`].
+///
+/// # Errors
+///
+/// [`ProtocolError::Io`] if the header is cut short; otherwise the
+/// header's first invalid field, as [`Frame::read_from`] reports it.
+pub(crate) fn read_head(r: &mut dyn Read, max_body: usize) -> Result<FrameHead, ProtocolError> {
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header)?;
+    FrameHead::parse(&header, max_body)
+}
+
+/// Appends exactly `len` body bytes from `r` to `out` and folds them
+/// into `crc`. The bytes are read straight into `out`'s spare capacity,
+/// which is reserved once and never zero-filled first.
+///
+/// # Errors
+///
+/// [`ProtocolError::Io`] with [`std::io::ErrorKind::UnexpectedEof`] if
+/// `r` ends first, or on any read failure.
+pub(crate) fn read_body(
+    r: &mut dyn Read,
+    len: usize,
+    crc: &mut Crc32,
+    out: &mut Vec<u8>,
+) -> Result<(), ProtocolError> {
+    let start = out.len();
+    out.reserve_exact(len);
+    let got = r.take(len as u64).read_to_end(out)?;
+    if got != len {
+        return Err(ProtocolError::Io(std::io::ErrorKind::UnexpectedEof));
+    }
+    crc.update(out.get(start..).unwrap_or_default());
+    Ok(())
+}
+
+/// Reads the CRC-32 trailer from `r` and checks it against `crc`, the
+/// state folded over the header and the whole body.
+///
+/// # Errors
+///
+/// [`ProtocolError::Io`] if the trailer is cut short,
+/// [`ProtocolError::CrcMismatch`] if it disagrees.
+pub(crate) fn read_trailer(r: &mut dyn Read, crc: Crc32) -> Result<(), ProtocolError> {
+    let mut stored = [0u8; TRAILER_LEN];
+    r.read_exact(&mut stored)?;
+    check_crc(u32::from_le_bytes(stored), crc.finish())
+}
+
+fn check_crc(stored: u32, computed: u32) -> Result<(), ProtocolError> {
+    if stored == computed {
         Ok(())
+    } else {
+        Err(ProtocolError::CrcMismatch { stored, computed })
     }
 }
 
@@ -577,6 +735,100 @@ mod tests {
             }
             other => panic!("expected Truncated, got {other:?}"),
         }
+    }
+
+    /// Accepts at most `step` bytes per write call, so a vectored write
+    /// has to resume part-way through a part.
+    struct Trickle {
+        out: Vec<u8>,
+        step: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.step);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_writer_bytes_equal_frame_encode() {
+        for len in [0usize, 1, 17, 1 << 20] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+            for &op in Op::ALL {
+                let cases = [
+                    (
+                        FrameWriter::request(op, 0x0102_0304_0506_0708, &payload),
+                        Frame::request(op, 0x0102_0304_0506_0708, payload.clone()).encode(),
+                    ),
+                    (
+                        FrameWriter::response(op, 9, Status::Ok, &payload),
+                        Frame::response(op, 9, Status::Ok, &payload).encode(),
+                    ),
+                    (
+                        FrameWriter::response(op, u64::MAX, Status::NotFound, &payload),
+                        Frame::response(op, u64::MAX, Status::NotFound, &payload).encode(),
+                    ),
+                ];
+                for (writer, want) in cases {
+                    assert_eq!(writer.len(), want.len(), "length at payload {len}");
+                    assert!(writer.to_vec() == want, "to_vec at payload {len}");
+                    let mut sink = Vec::new();
+                    writer.write_to(&mut sink).expect("write to a Vec");
+                    assert!(sink == want, "vectored write at payload {len}");
+                    if len <= 17 {
+                        let mut trickle = Trickle {
+                            out: Vec::new(),
+                            step: 3,
+                        };
+                        writer.write_to(&mut trickle).expect("write in pieces");
+                        assert_eq!(trickle.out, want, "piecewise write at payload {len}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_writer_refuses_a_writer_that_takes_nothing() {
+        struct Stuck;
+        impl Write for Stuck {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = FrameWriter::request(Op::Get, 1, b"x").write_to(&mut Stuck);
+        assert_eq!(err, Err(ProtocolError::Io(std::io::ErrorKind::WriteZero)));
+    }
+
+    #[test]
+    fn split_reads_fold_the_same_crc_as_whole_frames() {
+        let bytes = Frame::response(Op::Get, 5, Status::Ok, b"payload").encode();
+        let mut r: &[u8] = &bytes;
+        let mut head = read_head(&mut r, DEFAULT_MAX_BODY).expect("head");
+        assert_eq!((head.kind, head.request_id, head.body_len), (Kind::Response(Op::Get), 5, 8));
+        let mut body = Vec::new();
+        read_body(&mut r, 3, &mut head.crc, &mut body).expect("first piece");
+        read_body(&mut r, 5, &mut head.crc, &mut body).expect("second piece");
+        assert_eq!(body, b"\0payload");
+        read_trailer(&mut r, head.crc).expect("crc");
+        assert!(r.is_empty());
+        // A body cut short is an EOF, not a short buffer.
+        let mut r: &[u8] = &bytes[..HEADER_LEN + 4];
+        let mut head = read_head(&mut r, DEFAULT_MAX_BODY).expect("head");
+        let mut body = Vec::new();
+        assert_eq!(
+            read_body(&mut r, head.body_len, &mut head.crc, &mut body),
+            Err(ProtocolError::Io(std::io::ErrorKind::UnexpectedEof))
+        );
     }
 
     /// Lowercase hex, two digits per byte.

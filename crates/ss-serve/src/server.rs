@@ -26,6 +26,7 @@
 //! flips a stop flag, self-connects to unblock `accept`, shuts down
 //! every live connection's socket, and joins all threads.
 
+use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -33,7 +34,9 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use ss_trace::{Counter, Recorder};
 
 use crate::error::ServeError;
-use crate::protocol::{Frame, Kind, Op, ProtocolError, Status, HEADER_LEN, TRAILER_LEN};
+use crate::protocol::{
+    self, Frame, FrameWriter, Kind, Op, ProtocolError, Status, HEADER_LEN, TRAILER_LEN,
+};
 use crate::service::{PendingReply, Response, ServeHandle};
 
 /// Per-connection pipelining cap: how many responses may be outstanding
@@ -250,14 +253,55 @@ fn write_loop(mut stream: TcpStream, rx: &mpsc::Receiver<ConnItem>, handle: &Ser
                 Err(_) => break,
             },
         };
-        let frame = Frame::response(response.op, response.request_id, response.status, &response.payload);
-        let encoded = frame.encode();
-        trace.add(Counter::ServeBytesOut, encoded.len() as u64);
-        if std::io::Write::write_all(&mut stream, &encoded).is_err() {
+        let frame = FrameWriter::response(
+            response.op,
+            response.request_id,
+            response.status,
+            &response.payload,
+        );
+        trace.add(Counter::ServeBytesOut, frame.len() as u64);
+        if frame.write_to(&mut stream).is_err() {
             break;
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Reads one response frame from `r`: the status byte is read on its
+/// own and the payload straight into the response's buffer, so the body
+/// is never copied. The checks and their order are those of
+/// [`Frame::read_from`] followed by the pairing checks: framing first,
+/// then the CRC, then the kind and the status byte.
+fn read_response(r: &mut dyn Read, max_body: usize) -> Result<Response, ServeError> {
+    let mut head = protocol::read_head(r, max_body)?;
+    let mut status = [0u8; 1];
+    let status = status.get_mut(..head.body_len.min(1)).unwrap_or_default();
+    r.read_exact(status).map_err(ProtocolError::from)?;
+    head.crc.update(status);
+    let mut payload = Vec::new();
+    protocol::read_body(r, head.body_len.saturating_sub(1), &mut head.crc, &mut payload)?;
+    protocol::read_trailer(r, head.crc)?;
+    let Kind::Response(op) = head.kind else {
+        return Err(ServeError::ResponseMismatch {
+            detail: "server sent a request frame".to_string(),
+        });
+    };
+    let Some(&status_byte) = status.first() else {
+        return Err(ServeError::ResponseMismatch {
+            detail: "response body is missing its status byte".to_string(),
+        });
+    };
+    let Some(status) = Status::from_byte(status_byte) else {
+        return Err(ServeError::ResponseMismatch {
+            detail: format!("unknown status byte {status_byte:#04x}"),
+        });
+    };
+    Ok(Response {
+        request_id: head.request_id,
+        op,
+        status,
+        payload,
+    })
 }
 
 /// A blocking SSRP client.
@@ -304,7 +348,7 @@ impl Client {
     pub fn send(&mut self, op: Op, body: Vec<u8>) -> Result<u64, ServeError> {
         self.next_id += 1;
         let id = self.next_id;
-        Frame::request(op, id, body).write_to(&mut self.stream)?;
+        FrameWriter::request(op, id, &body).write_to(&mut self.stream)?;
         Ok(id)
     }
 
@@ -316,28 +360,7 @@ impl Client {
     /// [`ServeError::ResponseMismatch`] if a request frame or a
     /// status-less body arrives.
     pub fn recv(&mut self) -> Result<Response, ServeError> {
-        let frame = Frame::read_from(&mut self.stream, self.max_body)?;
-        let Kind::Response(op) = frame.kind else {
-            return Err(ServeError::ResponseMismatch {
-                detail: "server sent a request frame".to_string(),
-            });
-        };
-        let Some((&status_byte, payload)) = frame.body.split_first() else {
-            return Err(ServeError::ResponseMismatch {
-                detail: "response body is missing its status byte".to_string(),
-            });
-        };
-        let Some(status) = Status::from_byte(status_byte) else {
-            return Err(ServeError::ResponseMismatch {
-                detail: format!("unknown status byte {status_byte:#04x}"),
-            });
-        };
-        Ok(Response {
-            request_id: frame.request_id,
-            op,
-            status,
-            payload: payload.to_vec(),
-        })
+        read_response(&mut self.stream, self.max_body)
     }
 
     /// One strict round trip: send, receive, verify the response pairs
@@ -426,5 +449,127 @@ impl Client {
     /// disappearing mid-request).
     pub fn abandon(self) {
         let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::DEFAULT_MAX_BODY;
+
+    /// What `Client::recv` did before the payload was read in place: the
+    /// whole frame, then the status byte split off a copy of the body.
+    fn recv_via_frame(r: &mut dyn Read, max_body: usize) -> Result<Response, ServeError> {
+        let frame = Frame::read_from(r, max_body)?;
+        let Kind::Response(op) = frame.kind else {
+            return Err(ServeError::ResponseMismatch {
+                detail: "server sent a request frame".to_string(),
+            });
+        };
+        let Some((&status_byte, payload)) = frame.body.split_first() else {
+            return Err(ServeError::ResponseMismatch {
+                detail: "response body is missing its status byte".to_string(),
+            });
+        };
+        let Some(status) = Status::from_byte(status_byte) else {
+            return Err(ServeError::ResponseMismatch {
+                detail: format!("unknown status byte {status_byte:#04x}"),
+            });
+        };
+        Ok(Response {
+            request_id: frame.request_id,
+            op,
+            status,
+            payload: payload.to_vec(),
+        })
+    }
+
+    fn frame(kind: Kind, body: &[u8]) -> Vec<u8> {
+        Frame {
+            kind,
+            request_id: 42,
+            body: body.to_vec(),
+        }
+        .encode()
+    }
+
+    fn recv(bytes: &[u8]) -> Result<Response, ServeError> {
+        let mut r = bytes;
+        read_response(&mut r, DEFAULT_MAX_BODY)
+    }
+
+    #[test]
+    fn a_response_reads_from_memory() {
+        let bytes = frame(Kind::Response(Op::Get), b"\x00tensor bytes");
+        let response = recv(&bytes).expect("well-formed response");
+        assert_eq!(
+            response,
+            Response {
+                request_id: 42,
+                op: Op::Get,
+                status: Status::Ok,
+                payload: b"tensor bytes".to_vec(),
+            }
+        );
+    }
+
+    #[test]
+    fn recv_errors_are_typed() {
+        let missing = recv(&frame(Kind::Response(Op::Get), b""));
+        assert!(
+            matches!(&missing, Err(ServeError::ResponseMismatch { detail }) if detail.contains("missing its status byte")),
+            "{missing:?}"
+        );
+        let unknown = recv(&frame(Kind::Response(Op::Get), b"\x09rest"));
+        assert!(
+            matches!(&unknown, Err(ServeError::ResponseMismatch { detail }) if detail.contains("0x09")),
+            "{unknown:?}"
+        );
+        let request = recv(&frame(Kind::Request(Op::Get), b"\x00"));
+        assert!(
+            matches!(&request, Err(ServeError::ResponseMismatch { detail }) if detail.contains("request frame")),
+            "{request:?}"
+        );
+        let mut corrupt = frame(Kind::Response(Op::Get), b"\x00payload");
+        corrupt[HEADER_LEN + 3] ^= 0x10;
+        let crc = recv(&corrupt);
+        assert!(
+            matches!(crc, Err(ServeError::Protocol(ProtocolError::CrcMismatch { .. }))),
+            "{crc:?}"
+        );
+        let whole = frame(Kind::Response(Op::Get), b"\x00payload");
+        let cut = recv(&whole[..HEADER_LEN + 4]);
+        assert!(
+            matches!(
+                cut,
+                Err(ServeError::Protocol(ProtocolError::Io(std::io::ErrorKind::UnexpectedEof)))
+            ),
+            "{cut:?}"
+        );
+    }
+
+    #[test]
+    fn recv_agrees_with_the_whole_frame_reader_on_every_damage() {
+        let bodies: [&[u8]; 4] = [b"", b"\x00", b"\x06not found", b"\x00\x01\x02\x03\x04\x05"];
+        for kind in [Kind::Response(Op::Decode), Kind::Request(Op::Decode)] {
+            for body in bodies {
+                let bytes = frame(kind, body);
+                let mut damaged = vec![bytes.clone()];
+                for cut in 0..bytes.len() {
+                    damaged.push(bytes[..cut].to_vec());
+                }
+                for i in 0..bytes.len() {
+                    let mut flipped = bytes.clone();
+                    flipped[i] ^= 0x01;
+                    damaged.push(flipped);
+                }
+                for input in damaged {
+                    let mut r: &[u8] = &input;
+                    let want = recv_via_frame(&mut r, DEFAULT_MAX_BODY);
+                    let got = recv(&input);
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "input {input:02x?}");
+                }
+            }
+        }
     }
 }

@@ -693,12 +693,12 @@ fn handle_job(
                         Status::StoreFailure,
                         format!("model {model:?} failed to open: {why}"),
                     ),
-                    Some((_, Ok(store))) => match store.get(&record) {
-                        Ok(tensor) => Response::new(
+                    Some((_, Ok(store))) => match store.get_into(&record, scratch) {
+                        Ok(()) => Response::new(
                             job.op,
                             job.request_id,
                             Status::Ok,
-                            wire::encode_tensor(&tensor),
+                            wire::encode_tensor(scratch),
                         ),
                         Err(StoreError::RecordNotFound { .. }) => Response::err(
                             job.op,

@@ -116,8 +116,13 @@ pub fn encode_tensor(tensor: &Tensor) -> Vec<u8> {
     for &d in dims {
         out.extend_from_slice(&(d as u32).to_le_bytes());
     }
-    for &v in tensor.values() {
-        out.extend_from_slice(&v.to_le_bytes());
+    // One bulk pass: size the value region once, then fill it in 4-byte
+    // lanes with no per-value capacity check (a plain copy on
+    // little-endian targets).
+    let start = out.len();
+    out.resize(start + 4 * tensor.len(), 0);
+    for (lane, &v) in out[start..].chunks_exact_mut(4).zip(tensor.values()) {
+        lane.copy_from_slice(&v.to_le_bytes());
     }
     out
 }
@@ -172,12 +177,12 @@ pub fn decode_tensor(bytes: &[u8]) -> Result<Tensor, WireError> {
     if bytes.len() > total {
         return Err(WireError::TrailingBytes(bytes.len() - total));
     }
-    let mut values = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut v = [0u8; 4];
-        v.copy_from_slice(&bytes[dims_end + 4 * i..dims_end + 4 * i + 4]);
-        values.push(i32::from_le_bytes(v));
-    }
+    // One bulk pass over exactly `n` 4-byte lanes; the exact-size
+    // iterator lets `collect` allocate once and skip per-value checks.
+    let values: Vec<i32> = bytes[dims_end..total]
+        .chunks_exact(4)
+        .map(|lane| i32::from_le_bytes([lane[0], lane[1], lane[2], lane[3]]))
+        .collect();
     let dtype = if signed {
         FixedType::signed(bits)?
     } else {
@@ -243,6 +248,67 @@ fn take_string(bytes: &[u8]) -> Result<(String, &[u8]), WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Every container type the wire carries: 1..=16 bits, both
+    /// signednesses.
+    fn any_dtype() -> impl Strategy<Value = FixedType> {
+        (1u8..=16, any::<bool>()).prop_map(|(bits, signed)| {
+            if signed {
+                FixedType::signed(bits).expect("valid width")
+            } else {
+                FixedType::unsigned(bits).expect("valid width")
+            }
+        })
+    }
+
+    /// A tensor of `dtype` with a shape of rank 1..=MAX_RANK (at most a
+    /// few hundred elements), values spread over the whole range.
+    fn any_tensor() -> impl Strategy<Value = Tensor> {
+        (any_dtype(), prop::collection::vec(1usize..=4, 1..=MAX_RANK), any::<u64>()).prop_map(
+            |(dtype, dims, seed)| {
+                let n: usize = dims.iter().product();
+                let max = dtype.max_magnitude();
+                let min = if dtype.signedness().is_signed() { -max } else { 0 };
+                let span = i64::from(max) - i64::from(min) + 1;
+                let mut x = seed;
+                let values = (0..n)
+                    .map(|_| {
+                        x = x
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        (i64::from(min) + (x >> 33) as i64 % span) as i32
+                    })
+                    .collect();
+                Tensor::from_vec(Shape::new(dims), dtype, values).expect("in-range values")
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn every_dtype_and_rank_round_trips(t in any_tensor()) {
+            let body = encode_tensor(&t);
+            prop_assert_eq!(body.len(), 3 + 4 * t.shape().dims().len() + 4 * t.len());
+            let back = decode_tensor(&body).expect("round trip");
+            prop_assert_eq!(back.shape().dims(), t.shape().dims());
+            prop_assert_eq!(back, t);
+        }
+
+        #[test]
+        fn an_out_of_range_value_is_named_at_its_index(t in any_tensor(), at in any::<usize>(), high in any::<bool>()) {
+            let mut body = encode_tensor(&t);
+            let index = at % t.len();
+            let max = t.dtype().max_magnitude();
+            let bad = if high { max + 1 } else if t.signedness().is_signed() { -max - 1 } else { -1 };
+            let offset = 3 + 4 * t.shape().dims().len() + 4 * index;
+            body[offset..offset + 4].copy_from_slice(&bad.to_le_bytes());
+            prop_assert_eq!(
+                decode_tensor(&body),
+                Err(WireError::Tensor(TensorError::ValueOutOfRange { index, value: bad, dtype: t.dtype() }))
+            );
+        }
+    }
 
     fn tensor() -> Tensor {
         Tensor::from_vec(

@@ -251,16 +251,33 @@ impl<'a> ModelStore<'a> {
         Ok((s, e))
     }
 
-    /// Decodes record `name` into a fresh tensor.
+    /// Decodes record `name` into a fresh tensor — [`get_into`](Self::get_into)
+    /// with a new output tensor.
+    ///
+    /// # Errors
+    ///
+    /// As [`get_into`](Self::get_into).
+    pub fn get(&mut self, name: &str) -> Result<Tensor, StoreError> {
+        let mut out = Tensor::zeros(Shape::flat(0), FixedType::I16);
+        self.get_into(name, &mut out)?;
+        Ok(out)
+    }
+
+    /// Decodes record `name` into `out`, reusing its storage.
     ///
     /// One ranged read of the record's block; nothing else of the shard
-    /// is touched or decoded.
+    /// is touched or decoded. The block lands in the store's reusable
+    /// read buffer, and the store's [`CodecSession`] swaps its value
+    /// scratch with `out`'s buffer, so a caller that keeps passing the
+    /// same tensor allocates nothing per lookup once both buffers have
+    /// grown to the largest record. `out` takes the record's dtype and a
+    /// flat shape of its length; on error its contents are unspecified.
     ///
     /// # Errors
     ///
     /// [`StoreError::RecordNotFound`], checksum and corruption variants,
     /// or a decode failure from the payload codec.
-    pub fn get(&mut self, name: &str) -> Result<Tensor, StoreError> {
+    pub fn get_into(&mut self, name: &str, out: &mut Tensor) -> Result<(), StoreError> {
         let (s, e) = self.fetch_block(name)?;
         let shard = &self.shards[s];
         let entry = &shard.entries[e];
@@ -272,8 +289,7 @@ impl<'a> ModelStore<'a> {
                 reason: format!("record {name:?}: block metadata disagrees with the index"),
             });
         }
-        let mut out = Tensor::zeros(Shape::flat(0), FixedType::I16);
-        container::unpack_with(payload, &mut self.session, &mut out)?;
+        container::unpack_with(payload, &mut self.session, out)?;
         if out.len() as u64 != meta.values {
             return Err(StoreError::CorruptShard {
                 shard: shard.name.clone(),
@@ -288,7 +304,7 @@ impl<'a> ModelStore<'a> {
         if rec.enabled() {
             rec.add(Counter::StoreRecordsDecoded, 1);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Returns record `name`'s raw SSPK container bytes without

@@ -137,7 +137,7 @@ impl FixedType {
     pub fn contains(&self, value: i32) -> bool {
         match self.signedness {
             Signedness::Unsigned => (0..=self.max_magnitude()).contains(&value),
-            Signedness::Signed => value.abs() <= self.max_magnitude(),
+            Signedness::Signed => value.unsigned_abs() <= self.max_magnitude().unsigned_abs(),
         }
     }
 }
@@ -177,6 +177,9 @@ mod tests {
         assert!(t.contains(-127));
         assert!(!t.contains(128));
         assert!(!t.contains(-128));
+        // The most negative i32 has no positive twin; it is never in range.
+        assert!(!t.contains(i32::MIN));
+        assert!(!FixedType::I16.contains(i32::MIN));
     }
 
     #[test]

@@ -49,15 +49,7 @@ impl Tensor {
                 data_len: data.len(),
             });
         }
-        for (index, &value) in data.iter().enumerate() {
-            if !dtype.contains(value) {
-                return Err(TensorError::ValueOutOfRange {
-                    index,
-                    value,
-                    dtype,
-                });
-            }
-        }
+        check_range(dtype, &data)?;
         Ok(Self { shape, dtype, data })
     }
 
@@ -188,18 +180,30 @@ impl Tensor {
         dtype: FixedType,
         values: Vec<i32>,
     ) -> Result<Vec<i32>, TensorError> {
-        for (index, &value) in values.iter().enumerate() {
-            if !dtype.contains(value) {
-                return Err(TensorError::ValueOutOfRange {
-                    index,
-                    value,
-                    dtype,
-                });
-            }
-        }
+        check_range(dtype, &values)?;
         self.shape.make_flat(values.len());
         self.dtype = dtype;
         Ok(std::mem::replace(&mut self.data, values))
+    }
+}
+
+/// Validates every value against `dtype`'s range: one pass with no
+/// branch per value (so it vectorizes), then, only if that pass saw an
+/// offender, a second that names the first one.
+fn check_range(dtype: FixedType, values: &[i32]) -> Result<(), TensorError> {
+    let max = dtype.max_magnitude();
+    let min = if dtype.signedness().is_signed() { -max } else { 0 };
+    let outside = |v: i32| (v < min) | (v > max);
+    if !values.iter().fold(false, |bad, &v| bad | outside(v)) {
+        return Ok(());
+    }
+    match values.iter().position(|&v| outside(v)) {
+        Some(index) => Err(TensorError::ValueOutOfRange {
+            index,
+            value: values.get(index).copied().unwrap_or_default(),
+            dtype,
+        }),
+        None => Ok(()),
     }
 }
 
@@ -215,6 +219,30 @@ mod tests {
     fn construction_validates_shape() {
         let err = Tensor::from_vec(Shape::new(vec![2, 2]), FixedType::I8, vec![1, 2, 3]);
         assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })));
+    }
+
+    #[test]
+    fn range_check_names_the_first_offender() {
+        let err = Tensor::from_vec(Shape::flat(5), FixedType::I8, vec![1, -127, i32::MIN, 300, 2]);
+        assert!(matches!(
+            err,
+            Err(TensorError::ValueOutOfRange {
+                index: 2,
+                value: i32::MIN,
+                ..
+            })
+        ));
+        let mut t = Tensor::zeros(Shape::flat(0), FixedType::U8);
+        let err = t.replace_flat(FixedType::U8, vec![0, 255, 256, -1]);
+        assert!(matches!(
+            err,
+            Err(TensorError::ValueOutOfRange {
+                index: 2,
+                value: 256,
+                ..
+            })
+        ));
+        assert!(t.is_empty(), "a refused buffer leaves the tensor unchanged");
     }
 
     #[test]

@@ -31,10 +31,13 @@ CARGO_TARGET_DIR=target/deprecated-check RUSTFLAGS="-D deprecated" \
 # property suite, the corruption fuzzers (including the exhaustive
 # unregistered-wire-id sweep of the file container), the session-reuse
 # property suite (every registered scheme interleaved through one
-# session), the word-parallel-kernel-vs-scalar differential suite, and
-# the ss-bitio suite with the slicing-by-16 CRC-32 checked against its
-# bitwise definition (the checksum behind every chunk index, shard and
-# SSRP frame). All run above as part of the workspace tests; re-run here
+# session), the word-parallel-kernel-vs-scalar differential suite (the
+# fused group decoder against the per-bit decode loop at every group
+# size and on hostile streams), and the ss-bitio suite with the
+# slicing-by-16 CRC-32 checked against its bitwise definition (the
+# checksum behind every chunk index, shard and SSRP frame) and the
+# window-load field reads against the bitwise field definition at every
+# width and bit phase. All run above as part of the workspace tests; re-run here
 # by name so a conformance failure is unmissable in CI logs.
 echo
 echo "== container conformance (golden + differential + fuzz + kernels + CRC-32) =="
@@ -63,21 +66,26 @@ echo "== pipeline smoke (bit-identity + determinism gates) =="
 cargo run --release -q -p ss-bench --bin pipeline_throughput -- --smoke
 
 # Shard-store conformance: the corruption suite (every single-bit flip
-# detected, truncation fails cleanly) plus the roundtrip smoke with its
-# bit-identity, partial-read and verify gates.
+# detected, truncation fails cleanly), the warm-lookup allocation gate
+# (bytes allocated by `get_into` do not grow with record size), plus the
+# roundtrip smoke with its bit-identity, partial-read and verify gates.
 echo
-echo "== shard store (corruption suite + roundtrip gates) =="
-cargo test -q -p ss-store --test shard_corruption --test zoo_roundtrip
+echo "== shard store (corruption suite + lookup allocation + roundtrip gates) =="
+cargo test -q -p ss-store --test shard_corruption --test zoo_roundtrip --test get_into_alloc
 cargo run --release -q -p ss-bench --bin store_roundtrip -- --smoke
 
-# Serve conformance: the SSRP protocol fuzz suite (every single-bit flip
-# and truncation is a typed error, a flipped op byte never dispatches as
-# another op), the fault-injection suite (client disconnects, typed
-# overload, drain semantics, multi-client soak across worker counts),
-# the bounded-queue close/drain stress test, and the traffic-replay
-# smoke with its completion / FIFO / overload / drain gates.
+# Serve conformance: the protocol unit tests (pinned SSRP wire bytes,
+# the frame writer against `Frame::encode`, typed response-read errors,
+# wire-body round trips), the SSRP protocol fuzz suite (every single-bit
+# flip and truncation is a typed error, a flipped op byte never
+# dispatches as another op), the fault-injection suite (client
+# disconnects, typed overload, drain semantics, multi-client soak across
+# worker counts), the bounded-queue close/drain stress test, and the
+# traffic-replay smoke with its completion / FIFO / overload / drain
+# gates.
 echo
-echo "== serve (protocol fuzz + fault injection + queue shutdown + replay smoke) =="
+echo "== serve (protocol units + fuzz + fault injection + queue shutdown + replay smoke) =="
+cargo test -q -p ss-serve --lib
 cargo test -q -p ss-serve --test protocol_fuzz --test service_faults
 cargo test -q -p ss-pipeline --test queue_shutdown
 cargo run --release -q -p ss-bench --bin serve_replay -- --smoke
